@@ -135,6 +135,19 @@ class LogCommand:
     request_id: str
 
 
+#: Request-index value for a request id held at more than one unapplied
+#: log index (a retry re-proposed by a leader that had not seen the
+#: first proposal); lookups for it fall back to scanning the log.
+_SEVERAL = -1
+
+
+def _request_of(entry):
+    """The request id an entry's value carries, else None."""
+    if entry is not None and isinstance(entry.value, LogCommand):
+        return entry.value.request_id
+    return None
+
+
 class MultiPaxosReplica(Node):
     """A Multi-Paxos server: acceptor + learner + (sometimes) leader.
 
@@ -181,6 +194,9 @@ class MultiPaxosReplica(Node):
         self._pending = {}  # index -> set of ack senders
         self._client_of = {}  # index -> (client, request_id)
         self._applied_requests = {}  # request_id -> result (dedup cache)
+        # request_id -> log index (or _SEVERAL) for exactly the
+        # LogCommand entries above applied_index: in-flight requests.
+        self._request_index = {}
         self._prepare_acks = {}
         self._preparing = None
         self._heartbeat_timer = None
@@ -280,8 +296,8 @@ class MultiPaxosReplica(Node):
         for index, (accept_num, value) in sorted(best.items()):
             entry = self.log.get(index)
             if entry is None or accept_num > entry.accept_num:
-                self.log[index] = _EntryState(accept_num, value,
-                                              committed=index <= max_commit)
+                self._store(index, _EntryState(accept_num, value,
+                                               committed=index <= max_commit))
             elif index <= max_commit:
                 # An entry adopted in an earlier (failed) election may
                 # carry a stale committed=False; the quorum's commit
@@ -326,13 +342,11 @@ class MultiPaxosReplica(Node):
             self.send(src, ClientReply(msg.request_id,
                                        self._applied_requests[msg.request_id]))
             return
-        for index, entry in self.log.items():
-            value = entry.value
-            if isinstance(value, LogCommand) and \
-                    value.request_id == msg.request_id:
-                # Already in the log, still committing.
-                self._client_of[index] = (src, msg.request_id)
-                return
+        index = self._inflight_index(msg.request_id)
+        if index is not None:
+            # Already in the log, still committing.
+            self._client_of[index] = (src, msg.request_id)
+            return
         index = self.next_index
         self.next_index += 1
         self._client_of[index] = (src, msg.request_id)
@@ -345,7 +359,7 @@ class MultiPaxosReplica(Node):
             self.trace_local("propose", index=index, req=value.request_id)
         else:
             self.trace_local("propose", index=index)
-        self.log[index] = _EntryState(self.ballot_num, value)
+        self._store(index, _EntryState(self.ballot_num, value))
         self._pending[index] = {self.name}
         for peer in self.peers:
             if peer != self.name:
@@ -356,7 +370,7 @@ class MultiPaxosReplica(Node):
             self.ballot_num = msg.ballot
             self.leader_hint = src
             self._arm_election_timer()
-            self.log[msg.index] = _EntryState(msg.ballot, msg.value)
+            self._store(msg.index, _EntryState(msg.ballot, msg.value))
             self.send(src, MPAccepted(msg.ballot, msg.index))
 
     def handle_mpaccepted(self, msg, src):
@@ -386,7 +400,7 @@ class MultiPaxosReplica(Node):
     def handle_mpcommit(self, msg, src):
         entry = self.log.get(msg.index)
         if entry is None or entry.value != msg.value:
-            self.log[msg.index] = _EntryState(msg.ballot, msg.value)
+            self._store(msg.index, _EntryState(msg.ballot, msg.value))
         self._commit(msg.index)
 
     def _commit(self, index):
@@ -418,6 +432,7 @@ class MultiPaxosReplica(Node):
             result = self.state_machine.apply(command)
             self.applied_index = nxt
             if isinstance(value, LogCommand):
+                self._unindex(value.request_id, nxt)
                 self.trace_local("apply", index=nxt, op=command,
                                  req=value.request_id)
             else:
@@ -429,6 +444,52 @@ class MultiPaxosReplica(Node):
             if client is not None:
                 dst, request_id = client
                 self.send(dst, ClientReply(request_id, result))
+
+    # -- request index ------------------------------------------------------
+
+    def _store(self, index, entry):
+        """Write log slot ``index``; every log write goes through here so
+        the request index stays in step with the log."""
+        old_request = _request_of(self.log.get(index))
+        self.log[index] = entry
+        request_id = _request_of(entry) if index > self.applied_index else None
+        if old_request is not None and old_request != request_id:
+            self._unindex(old_request, index)
+        if request_id is not None:
+            held = self._request_index.setdefault(request_id, index)
+            if held != index:
+                self._request_index[request_id] = _SEVERAL
+
+    def _unindex(self, request_id, index):
+        """``index`` no longer holds an unapplied ``request_id``."""
+        held = self._request_index.get(request_id)
+        if held == index:
+            del self._request_index[request_id]
+        elif held == _SEVERAL:
+            holders = self._holders(request_id)
+            if not holders:
+                del self._request_index[request_id]
+            elif len(holders) == 1:
+                self._request_index[request_id] = holders[0]
+
+    def _holders(self, request_id):
+        """Unapplied indices holding ``request_id``, in log insertion
+        order; O(log), so only for ids held more than once."""
+        return [
+            index for index, entry in self.log.items()
+            if index > self.applied_index
+            and _request_of(entry) == request_id
+        ]
+
+    def _inflight_index(self, request_id):
+        """The unapplied log index holding ``request_id``, or None.
+
+        With several holders it is the first in log insertion order,
+        the one a scan of ``self.log`` finds first."""
+        index = self._request_index.get(request_id)
+        if index == _SEVERAL:
+            return self._holders(request_id)[0]
+        return index
 
     # -- introspection ------------------------------------------------------
 

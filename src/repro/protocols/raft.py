@@ -179,6 +179,9 @@ class RaftNode(Node):
         self.match_index = {}
         self._votes = set()
         self._client_of = {}  # log index -> (client, request_id)
+        # request_id -> ascending absolute indices of the unapplied log
+        # entries carrying it: in-flight requests.
+        self._request_index = {}
         self._election_timer = None
         self._heartbeat_timer = None
         self.apply_results = {}
@@ -195,6 +198,35 @@ class RaftNode(Node):
     def _entry(self, index):
         """The entry at absolute ``index`` (must be >= log_base)."""
         return self.log[index - self.log_base]
+
+    def _append(self, entry):
+        """Append one entry; every append goes through here so the
+        request index stays in step with the log."""
+        self.log.append(entry)
+        if entry.request_id is not None:
+            self._request_index.setdefault(entry.request_id, []).append(
+                self.last_log_index())
+
+    def _truncate(self, position):
+        """Drop the log suffix from ``position`` (a conflicting,
+        uncommitted suffix) and its request-index entries."""
+        for offset, entry in enumerate(self.log[position:]):
+            if entry.request_id is not None:
+                self._unindex(entry.request_id,
+                              self.log_base + position + offset)
+        del self.log[position:]
+
+    def _inflight_indices(self, request_id):
+        """Absolute indices of the unapplied entries carrying
+        ``request_id``, ascending (empty when none)."""
+        return self._request_index.get(request_id, ())
+
+    def _unindex(self, request_id, index):
+        indices = self._request_index.get(request_id)
+        if indices is not None and index in indices:
+            indices.remove(index)
+            if not indices:
+                del self._request_index[request_id]
 
     def _term_at(self, index):
         if index < 0:
@@ -300,7 +332,7 @@ class RaftNode(Node):
         if self._election_timer is not None:
             self._election_timer.cancel()
         # Commit-point no-op: anchors inherited entries under our term.
-        self.log.append(LogEntry(self.current_term, NOOP))
+        self._append(LogEntry(self.current_term, NOOP))
         self.next_index = {p: self.last_log_index() + 1 for p in self.peers}
         self.match_index = {p: -1 for p in self.peers}
         self.match_index[self.name] = self.last_log_index()
@@ -320,16 +352,15 @@ class RaftNode(Node):
             self.send(src, RaftClientReply(msg.request_id,
                                            self._applied_requests[msg.request_id]))
             return
-        if any(entry.request_id == msg.request_id for entry in self.log):
+        indices = self._inflight_indices(msg.request_id)
+        if indices:
             # Already appended, still committing: remember who to answer.
-            for position, entry in enumerate(self.log):
-                if entry.request_id == msg.request_id:
-                    self._client_of[self.log_base + position] = \
-                        (src, msg.request_id)
+            for index in indices:
+                self._client_of[index] = (src, msg.request_id)
             return
         index = self.last_log_index() + 1
-        self.log.append(LogEntry(self.current_term, msg.command,
-                                 msg.request_id))
+        self._append(LogEntry(self.current_term, msg.command,
+                              msg.request_id))
         self.match_index[self.name] = index
         self._client_of[index] = (src, msg.request_id)
         self.trace_local("propose", index=index, req=msg.request_id)
@@ -395,10 +426,10 @@ class RaftNode(Node):
             position = index - self.log_base
             if position < len(self.log):
                 if self.log[position].term != entry.term:
-                    del self.log[position:]
-                    self.log.append(entry)
+                    self._truncate(position)
+                    self._append(entry)
             else:
-                self.log.append(entry)
+                self._append(entry)
         match = msg.prev_log_index + len(msg.entries)
         if msg.leader_commit > self.commit_index:
             self.commit_index = min(msg.leader_commit, self.last_log_index())
@@ -424,28 +455,35 @@ class RaftNode(Node):
 
     def _advance_commit(self):
         """Commit the highest index replicated on a majority whose entry
-        is from the current term."""
-        for index in range(self.last_log_index(), self.commit_index, -1):
-            if self._term_at(index) != self.current_term:
-                break
-            count = sum(1 for m in self.match_index.values() if m >= index)
-            if count >= self.majority:
-                self.commit_index = index
-                entry = self._entry(index)
-                if entry.request_id is not None:
-                    self.trace_local("commit", index=index,
-                                     term=self.current_term,
-                                     req=entry.request_id)
-                else:
-                    self.trace_local("commit", index=index,
-                                     term=self.current_term)
-                self._apply_ready()
-                break
+        is from the current term.
+
+        The highest index on a majority is the majority-th largest match
+        index.  A leader's log terms never decrease and never exceed its
+        current term, so if that entry is from an earlier term, so is
+        every entry below it: nothing commits until a current-term entry
+        reaches a majority (Raft's Figure 8 rule)."""
+        matched = sorted(self.match_index.values(), reverse=True)
+        if len(matched) < self.majority:
+            return
+        index = min(matched[self.majority - 1], self.last_log_index())
+        if index <= self.commit_index or \
+                self._term_at(index) != self.current_term:
+            return
+        self.commit_index = index
+        entry = self._entry(index)
+        if entry.request_id is not None:
+            self.trace_local("commit", index=index, term=self.current_term,
+                             req=entry.request_id)
+        else:
+            self.trace_local("commit", index=index, term=self.current_term)
+        self._apply_ready()
 
     def _apply_ready(self):
         while self.last_applied < self.commit_index:
             self.last_applied += 1
             entry = self._entry(self.last_applied)
+            if entry.request_id is not None:
+                self._unindex(entry.request_id, self.last_applied)
             if entry.command == NOOP:
                 self.apply_results[self.last_applied] = None
                 continue
@@ -477,6 +515,8 @@ class RaftNode(Node):
             return
         if not hasattr(self.state_machine, "snapshot"):
             return
+        # Only applied entries are discarded, and the request index
+        # holds none of them (absolute indices need no rebasing).
         self.snapshot = self.state_machine.snapshot()
         self.snapshot_term = self._term_at(self.last_applied)
         keep_from = self.last_applied - self.log_base + 1
@@ -500,6 +540,7 @@ class RaftNode(Node):
         if hasattr(self.state_machine, "restore"):
             self.state_machine.restore(msg.state, msg.ops_applied)
         self.log = []
+        self._request_index.clear()
         self.log_base = msg.last_included_index + 1
         self.snapshot = msg.state
         self.snapshot_term = msg.last_included_term

@@ -1,8 +1,61 @@
 """Tests for Multi-Paxos: the replicated log, the phase-1 amortisation,
 leader failover, and client semantics."""
 
-from repro.protocols.multipaxos import run_multipaxos
+import pytest
+
+from repro.core.ballot import Ballot
+from repro.protocols.multipaxos import (
+    _SEVERAL,
+    LogCommand,
+    MPAccept,
+    MPCommit,
+    MultiPaxosClient,
+    MultiPaxosReplica,
+    run_multipaxos,
+)
 from repro.smr import KVStateMachine, check_log_consistency
+
+
+def scan_log_for_request(replica, request_id):
+    """Reference for the request index: a full log scan for the first
+    entry, in log insertion order, whose command carries
+    ``request_id``."""
+    for index, entry in replica.log.items():
+        value = entry.value
+        if isinstance(value, LogCommand) and value.request_id == request_id:
+            return index
+    return None
+
+
+def rebuilt_request_index(replica):
+    """The request index rebuilt from the log: every unapplied command's
+    request id -> its index, or ``_SEVERAL`` when held more than once."""
+    rebuilt = {}
+    for index, entry in replica.log.items():
+        if index > replica.applied_index and \
+                isinstance(entry.value, LogCommand):
+            request_id = entry.value.request_id
+            rebuilt[request_id] = index if request_id not in rebuilt \
+                else _SEVERAL
+    return rebuilt
+
+
+@pytest.fixture
+def checked_lookups(monkeypatch):
+    """Check every in-flight lookup against the full log scan and the
+    index against the log; yields the lookups' results."""
+    results = []
+    lookup = MultiPaxosReplica._inflight_index
+
+    def checked(replica, request_id):
+        found = lookup(replica, request_id)
+        assert found == scan_log_for_request(replica, request_id)
+        assert replica._request_index == rebuilt_request_index(replica)
+        results.append(found)
+        return found
+
+    monkeypatch.setattr(MultiPaxosReplica, "_inflight_index", checked)
+    return results
 
 
 class TestNormalOperation:
@@ -105,3 +158,79 @@ class TestCustomStateMachine:
         # assert wiring produced KV machines.
         assert all(isinstance(r.state_machine, KVStateMachine)
                    for r in result.replicas)
+
+
+class TestRequestIndex:
+    """The leader's in-flight lookup is a dict probe; it must answer
+    exactly what the full log scan answered."""
+
+    def test_lookup_matches_scan_across_leader_crash(self, make_cluster,
+                                                     checked_lookups):
+        for seed in (1, 4, 5):
+            cluster = make_cluster(seed=seed)
+            names = ["r0", "r1", "r2"]
+            replicas = cluster.add_nodes(MultiPaxosReplica, names, names)
+            # Short retry timeouts: clients resend commands that are
+            # still in flight, before and after the leader dies.
+            clients = [
+                cluster.add_node(MultiPaxosClient, "c%d" % i, names,
+                                 ["x%d-%d" % (i, j) for j in range(10)],
+                                 retry_timeout=3.0)
+                for i in range(3)
+            ]
+            cluster.sim.schedule(6.0, replicas[0].crash)
+            cluster.start_all()
+            cluster.run_until(lambda: all(c.done for c in clients),
+                              until=2000.0)
+            assert all(c.done for c in clients), seed
+            logs = [r.committed_log() for r in replicas]
+            assert check_log_consistency(logs), seed
+            for replica in replicas:
+                assert replica._request_index == \
+                    rebuilt_request_index(replica)
+        hits = [found for found in checked_lookups if found is not None]
+        assert len(hits) >= 10  # retries found their in-flight entries
+
+    def test_request_held_at_two_unapplied_indices(self, cluster):
+        names = ["r0", "r1", "r2"]
+        replica = cluster.add_nodes(MultiPaxosReplica, names, names)[1]
+        ballot = Ballot.ZERO.successor("r0")
+        retry = LogCommand("x", "c0-0")
+
+        def accept(index, value):
+            replica.handle_mpaccept(MPAccept(ballot, index, value), "r0")
+
+        def agree():
+            found = replica._inflight_index("c0-0")
+            assert found == scan_log_for_request(replica, "c0-0")
+            assert replica._request_index == rebuilt_request_index(replica)
+            return found
+
+        accept(3, retry)
+        accept(1, retry)
+        # The first holder in log insertion order, not the lowest index.
+        assert agree() == 3
+        assert replica._request_index == {"c0-0": _SEVERAL}
+        accept(3, LogCommand("y", "c1-0"))
+        assert agree() == 1
+        assert replica._request_index == {"c0-0": 1, "c1-0": 3}
+        accept(3, retry)
+        assert agree() == 3
+        for index, value in ((0, "op"), (1, retry)):
+            replica.handle_mpcommit(MPCommit(ballot, index, value), "r0")
+        assert replica.applied_index == 1
+        # Applying one holder leaves the other in flight.
+        assert agree() == 3
+        assert replica._request_index == {"c0-0": 3}
+        for index, value in ((2, "op"), (3, retry)):
+            replica.handle_mpcommit(MPCommit(ballot, index, value), "r0")
+        assert replica.applied_index == 3
+        assert replica._request_index == {}
+
+    def test_index_stays_flat_under_load(self, cluster):
+        result = run_multipaxos(cluster, n_replicas=3, n_clients=2,
+                                commands_per_client=20)
+        cluster.sim.run_for(30.0)  # commits drain to followers
+        for replica in result.replicas:
+            assert replica.applied_index >= 39
+            assert replica._request_index == {}

@@ -71,18 +71,6 @@ class TestZipfKeys:
         assert ZipfKeys(1000, s=0.5)._cumulative is not a._cumulative
 
 
-class TestLegacyImportPath:
-    def test_old_module_warns_and_reexports(self):
-        import importlib
-
-        with pytest.warns(DeprecationWarning, match="repro.load.workloads"):
-            import repro.workloads as legacy
-            legacy = importlib.reload(legacy)
-        assert legacy.ZipfKeys is ZipfKeys
-        assert legacy.OpMix is OpMix
-        assert legacy.generate_commands is generate_commands
-
-
 class TestOpMix:
     def test_ratios_respected(self):
         mix = OpMix(ZipfKeys(5), reads=0.7, writes=0.3, increments=0.0)
